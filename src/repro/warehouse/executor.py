@@ -20,6 +20,18 @@ end of the run (the paper's SLA guarantee). Childless flagged nodes are
 freed at the end of the run, matching the planner's conservative
 residency model (`core.graph`).
 
+Release is ``unpersist()`` only (``release_cached``, shared with the
+LRU baseline). The released node's view stays as it is, since no reader
+of it remains. Re-pointing it at the Parquet copy with
+``createOrReplaceTempView`` would uncache, in cascade, every cached
+frame whose plan embeds the old view, i.e. every still-resident flagged
+descendant, and their children would recompute the whole lineage.
+``NodeTiming.mem_parents`` counts the parents Spark still holds in its
+cache when the child's SQL is issued.
+
+If a node fails, the run waits out its background writes and unpersists
+every frame it cached before the error propagates.
+
 ``storage`` is the optional emulated-NFS model (`warehouse.storage`):
 reads of disk-resident tables and all writes additionally pay
 ``bytes/bandwidth``; background writes pay it in the writer thread, so
@@ -51,21 +63,41 @@ def n_output_partitions(est_bytes: float) -> int:
     return max(1, min(16, int(est_bytes // _PARTITION_BYTES) + 1))
 
 
-def dir_bytes(path: str) -> int:
-    total = 0
-    for root, _, files in os.walk(path):
-        total += sum(os.path.getsize(os.path.join(root, f)) for f in files)
-    return total
+def write_parquet(df, path: str, est_bytes: float) -> None:
+    """Local Parquet encode of an MV of ``est_bytes`` to ``path``."""
+    df.coalesce(n_output_partitions(est_bytes)).write.mode(
+        "overwrite"
+    ).parquet(path)
+
+
+def is_cached(df) -> bool:
+    """Whether Spark currently holds ``df``'s plan in its cache."""
+    return df.storageLevel != StorageLevel.NONE
+
+
+def release_cached(
+    spark: SparkSession, name: str, df, disk_path: str | None = None
+) -> None:
+    """Drop ``name``'s cached frame ``df`` from Spark's cache. With
+    ``disk_path``, later readers of ``name`` read its Parquet copy.
+
+    The view is dropped before the disk view is registered: replacing a
+    temp view in place uncaches, in cascade, every cached frame built on
+    it, while ``unpersist`` and ``dropTempView`` uncache only this one.
+    """
+    df.unpersist()
+    if disk_path is not None:
+        spark.catalog.dropTempView(name)
+        spark.read.parquet(disk_path).createOrReplaceTempView(name)
 
 
 @dataclass
 class NodeTiming:
     name: str
     flagged: bool
-    exec_s: float  # SQL execution (+ cache materialization if flagged)
-    write_s: float  # synchronous write time (0 for flagged nodes)
-    mem_parents: int  # parents read from the Memory Catalog
-    disk_parents: int  # parents re-read from storage
+    exec_s: float  # SQL, cache fill if flagged, encode, sync transfer
+    mem_parents: int  # parents read from Spark's cache
+    disk_parents: int  # parents read from storage (or recomputed)
 
 
 @dataclass
@@ -119,7 +151,6 @@ def run_workload(
     """
     os.makedirs(out_dir, exist_ok=True)
     register_base_tables(spark, base_paths)
-    base_bytes = {t: float(dir_bytes(p)) for t, p in base_paths.items()}
     names = wl.node_names
     flagged_names = frozenset(names[i] for i in plan.flagged)
     catalog = MemoryCatalog(budget)
@@ -136,12 +167,10 @@ def run_workload(
         total_s=0.0,
     )
 
-    def write_parquet(df, name: str) -> None:
+    def encode(df, name: str) -> None:
         """Local Parquet encode (synchronous; CPU work stays on the
         critical path for both plans so overlap never hides compute)."""
-        df.coalesce(n_output_partitions(sizes[name])).write.mode(
-            "overwrite"
-        ).parquet(os.path.join(out_dir, name))
+        write_parquet(df, os.path.join(out_dir, name), sizes[name])
 
     def transfer(name: str) -> None:
         """Emulated NFS transfer of the encoded output — pure channel
@@ -173,12 +202,8 @@ def run_workload(
         for name in [n for n, f in releasing.items() if f.done()]:
             f = releasing.pop(name)
             f.result()  # surface background-write errors
-            cached_dfs.pop(name).unpersist()
+            release_cached(spark, name, cached_dfs.pop(name))
             catalog.release(name)
-            # Any later reader (none among children) sees the disk copy.
-            spark.read.parquet(
-                os.path.join(out_dir, name)
-            ).createOrReplaceTempView(name)
 
     def reserve(name: str, nbytes: float) -> None:
         """Claim catalog space, waiting out pending releases if the
@@ -191,56 +216,61 @@ def run_workload(
         catalog.add(name, nbytes)  # raises CatalogOverflowError if over
 
     t0 = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=1) as pool:  # one storage channel
-        for i in plan.order:
-            nd = wl.nodes[i]
-            finalize_done()
-            mem_p = sum(1 for p in nd.parents if p in catalog)
-            disk_p = len(nd.parents) - mem_p
-            te = time.perf_counter()
-            pay_disk_reads(nd)
-            df = spark.sql(nd.sql)
-            if nd.name in flagged_names:
-                reserve(nd.name, sizes[nd.name])
-                df = df.persist(StorageLevel.MEMORY_AND_DISK)
-                df.count()  # materialize into the Memory Catalog
-                df.createOrReplaceTempView(nd.name)
-                cached_dfs[nd.name] = df
-                # encode locally now; ship to "NFS" in the background
-                write_parquet(df, nd.name)
-                exec_s = time.perf_counter() - te
-                write_futures[nd.name] = pool.submit(transfer, nd.name)
-                write_s = 0.0
-            else:
-                write_parquet(df, nd.name)
-                transfer(nd.name)  # synchronous transfer, critical path
-                exec_s = time.perf_counter() - te
-                write_s = 0.0  # folded into exec_s for sync writes
-                spark.read.parquet(
-                    os.path.join(out_dir, nd.name)
-                ).createOrReplaceTempView(nd.name)
-            report.nodes.append(
-                NodeTiming(
-                    nd.name, nd.name in flagged_names, exec_s, write_s,
-                    mem_p, disk_p,
+    try:
+        with ThreadPoolExecutor(max_workers=1) as pool:  # one storage channel
+            for i in plan.order:
+                nd = wl.nodes[i]
+                finalize_done()
+                mem_p = sum(
+                    1 for p in nd.parents
+                    if p in cached_dfs and is_cached(cached_dfs[p])
                 )
-            )
-            for p in nd.parents:
-                pending_children[p] -= 1
-                if (
-                    pending_children[p] == 0
-                    and p in catalog
-                    and p not in releasing
-                ):
-                    releasing[p] = write_futures.pop(p)
-        # Childless flagged nodes and any writes still in flight.
-        tw = time.perf_counter()
-        for n in list(write_futures):
-            releasing[n] = write_futures.pop(n)
-        if releasing:
-            wait(list(releasing.values()))
-            finalize_done()
-        report.async_write_wait_s = time.perf_counter() - tw
+                te = time.perf_counter()
+                pay_disk_reads(nd)
+                df = spark.sql(nd.sql)
+                if nd.name in flagged_names:
+                    reserve(nd.name, sizes[nd.name])
+                    df = df.persist(StorageLevel.MEMORY_AND_DISK)
+                    cached_dfs[nd.name] = df  # cleaned up even if the fill fails
+                    df.count()  # materialize into the Memory Catalog
+                    df.createOrReplaceTempView(nd.name)
+                    # encode locally now; ship to "NFS" in the background
+                    encode(df, nd.name)
+                    write_futures[nd.name] = pool.submit(transfer, nd.name)
+                else:
+                    encode(df, nd.name)
+                    transfer(nd.name)  # synchronous transfer, critical path
+                    spark.read.parquet(
+                        os.path.join(out_dir, nd.name)
+                    ).createOrReplaceTempView(nd.name)
+                report.nodes.append(
+                    NodeTiming(
+                        nd.name, nd.name in flagged_names,
+                        time.perf_counter() - te,
+                        mem_p, len(nd.parents) - mem_p,
+                    )
+                )
+                for p in nd.parents:
+                    pending_children[p] -= 1
+                    if (
+                        pending_children[p] == 0
+                        and p in catalog
+                        and p not in releasing
+                    ):
+                        releasing[p] = write_futures.pop(p)
+            # Childless flagged nodes and any writes still in flight.
+            tw = time.perf_counter()
+            for n in list(write_futures):
+                releasing[n] = write_futures.pop(n)
+            if releasing:
+                wait(list(releasing.values()))
+                finalize_done()
+            report.async_write_wait_s = time.perf_counter() - tw
+    finally:
+        # Empty after a clean run. After a failure the pool has waited
+        # out the background writes; drop what is still cached.
+        for name, df in cached_dfs.items():
+            release_cached(spark, name, df)
     report.total_s = time.perf_counter() - t0
     report.peak_catalog_bytes = catalog.peak
     return report

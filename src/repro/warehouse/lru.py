@@ -4,10 +4,13 @@ Models the off-the-shelf alternative S/C is compared against: the
 engine's query-result cache, grown by the same amount of memory S/C
 gets as Memory Catalog. Execution is a plain topological order with
 *synchronous* writes (no reordering, no overlapped materialization);
-after each node executes, its result is inserted into an LRU cache of
-capacity M, evicting least-recently-used entries. A child whose parent
-is still cached reads it from memory; otherwise it re-reads storage
-(paying the emulated-NFS delay when a storage model is given).
+each node's result is computed into an LRU cache of capacity M, which
+then evicts least-recently-used entries, and written from the cache.
+A child whose parent is still cached reads it from memory; otherwise it
+re-reads storage (paying the emulated-NFS delay when a storage model is
+given). Eviction goes through the Controller's ``release_cached``, which
+re-points the evicted view at its Parquet copy without uncaching the
+cached entries built on it.
 """
 from __future__ import annotations
 
@@ -21,10 +24,11 @@ from pyspark.storagelevel import StorageLevel
 from repro.warehouse.executor import (
     NodeTiming,
     RunReport,
-    dir_bytes,
-    n_output_partitions,
+    is_cached,
     no_opt_plan,
     register_base_tables,
+    release_cached,
+    write_parquet,
 )
 from repro.warehouse.storage import StorageModel
 from repro.workloads.spec import WorkloadSpec
@@ -43,7 +47,6 @@ def run_workload_lru(
     """Refresh all MVs with an LRU result cache of ``capacity`` bytes."""
     os.makedirs(out_dir, exist_ok=True)
     register_base_tables(spark, base_paths)
-    base_bytes = {t: float(dir_bytes(p)) for t, p in base_paths.items()}
     plan = no_opt_plan(wl)
     cache: OrderedDict[str, object] = OrderedDict()
     cache_bytes: dict[str, float] = {}
@@ -54,53 +57,59 @@ def run_workload_lru(
         total_s=0.0,
     )
 
+    def path(name: str) -> str:
+        return os.path.join(out_dir, name)
+
     def used() -> float:
         return sum(cache_bytes.values())
 
-    def evict_until(fits: float) -> None:
-        while cache and used() + fits > capacity:
+    def evict_over_capacity() -> None:
+        # A later node may still read an evicted one: from its Parquet copy.
+        while used() > capacity:
             name, df = cache.popitem(last=False)
             cache_bytes.pop(name)
-            df.unpersist()
-            spark.read.parquet(os.path.join(out_dir, name)).createOrReplaceTempView(
-                name
-            )
+            release_cached(spark, name, df, path(name))
 
     t0 = time.perf_counter()
-    for i in plan.order:
-        nd = wl.nodes[i]
-        mem_p = 0
-        te = time.perf_counter()
-        for p in nd.parents:
-            if p in cache:
-                cache.move_to_end(p)  # LRU touch
-                mem_p += 1
-            elif storage:
-                storage.pay_read(sizes[p])
-        df = spark.sql(nd.sql)
-        df.coalesce(n_output_partitions(sizes[nd.name])).write.mode(
-            "overwrite"
-        ).parquet(os.path.join(out_dir, nd.name))  # synchronous baseline
-        if storage:
-            storage.pay_write(sizes[nd.name])
-        exec_s = time.perf_counter() - te
-        nbytes = sizes[nd.name]
-        if nbytes <= capacity:
-            evict_until(nbytes)
-            cdf = df.persist(StorageLevel.MEMORY_AND_DISK)
-            cdf.count()
-            cdf.createOrReplaceTempView(nd.name)
-            cache[nd.name] = cdf
-            cache_bytes[nd.name] = nbytes
-        else:
-            spark.read.parquet(
-                os.path.join(out_dir, nd.name)
-            ).createOrReplaceTempView(nd.name)
-        report.nodes.append(
-            NodeTiming(nd.name, False, exec_s, 0.0, mem_p, len(nd.parents) - mem_p)
-        )
-        report.peak_catalog_bytes = max(report.peak_catalog_bytes, used())
-    for name, df in cache.items():
-        df.unpersist()
+    try:
+        for i in plan.order:
+            nd = wl.nodes[i]
+            mem_p = 0
+            te = time.perf_counter()
+            for p in nd.parents:
+                if p in cache and is_cached(cache[p]):
+                    cache.move_to_end(p)  # LRU touch
+                    mem_p += 1
+                elif storage:
+                    storage.pay_read(sizes[p])
+            df = spark.sql(nd.sql)
+            nbytes = sizes[nd.name]
+            if nbytes <= capacity:
+                # Fill the cache while the parents are still in it, then
+                # evict, then write from the cache: computed once, as in
+                # the Controller.
+                df = df.persist(StorageLevel.MEMORY_AND_DISK)
+                cache[nd.name] = df
+                cache_bytes[nd.name] = nbytes
+                df.count()
+                evict_over_capacity()
+                df.createOrReplaceTempView(nd.name)
+            write_parquet(df, path(nd.name), nbytes)  # synchronous baseline
+            if storage:
+                storage.pay_write(nbytes)
+            if nd.name not in cache:
+                spark.read.parquet(path(nd.name)).createOrReplaceTempView(
+                    nd.name
+                )
+            report.nodes.append(
+                NodeTiming(
+                    nd.name, False, time.perf_counter() - te,
+                    mem_p, len(nd.parents) - mem_p,
+                )
+            )
+            report.peak_catalog_bytes = max(report.peak_catalog_bytes, used())
+    finally:
+        for name, df in cache.items():
+            release_cached(spark, name, df)
     report.total_s = time.perf_counter() - t0
     return report

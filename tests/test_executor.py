@@ -9,6 +9,7 @@ materialized on disk with exactly the declared contents.
 import os
 
 import pytest
+from pyspark.storagelevel import StorageLevel
 
 from repro.core.alternating import optimize
 from repro.core.graph import Plan
@@ -16,6 +17,8 @@ from repro.oracle import assert_equivalent
 from repro.warehouse.catalog import CatalogOverflowError, MemoryCatalog
 from repro.warehouse.executor import no_opt_plan, run_workload
 from repro.warehouse.metadata import build_depgraph
+from repro.warehouse.storage import StorageModel
+from repro.workloads.spec import MVSpec, WorkloadSpec
 from repro.workloads.tpcds import workload
 from tests.conftest import duck_chain
 
@@ -84,6 +87,9 @@ class TestOptimizedRun:
         )
 
     def test_children_of_flagged_read_from_memory(self, w5_run):
+        """``mem_parents`` counts the parents Spark still holds in its
+        cache when the child runs, so this checks Spark, not the
+        Memory Catalog's bookkeeping."""
         wl, _, rep, _, _ = w5_run
         timing = {t.name: t for t in rep.nodes}
         for nd in wl.nodes:
@@ -185,3 +191,115 @@ class TestInfeasiblePlan:
                 )
         finally:
             spark.catalog.clearCache()  # drop partially-persisted MVs
+
+
+class SparkSpy:
+    """A SparkSession that calls ``on_sql(text)`` before each ``sql``."""
+
+    def __init__(self, spark, on_sql):
+        self._spark = spark
+        self._on_sql = on_sql
+
+    def __getattr__(self, name):
+        return getattr(self._spark, name)
+
+    def sql(self, text):
+        self._on_sql(text)
+        return self._spark.sql(text)
+
+
+def spark_cached(spark, view: str) -> bool:
+    return spark.table(view).storageLevel != StorageLevel.NONE
+
+
+def rdd_storage_ids(spark) -> set[int]:
+    infos = spark.sparkContext._jsc.sc().getRDDStorageInfo()
+    return {i.id() for i in infos}
+
+
+CHAIN_A = (
+    "SELECT ss_item_sk, ss_net_paid FROM store_sales WHERE ss_quantity > 10"
+)
+
+
+class TestCacheResidency:
+    def test_release_keeps_resident_descendants_cached(
+        self, spark, tpcds_base, tmp_path
+    ):
+        """Chain A→B→C with A and B flagged: A is released once B ran,
+        before C runs; releasing A must leave B in Spark's cache, so C
+        reads B from memory rather than recomputing A and B."""
+        c_sql = "SELECT COUNT(*) AS n, SUM(paid) AS paid FROM chain_b"
+        wl = WorkloadSpec(
+            "chain",
+            (
+                MVSpec("chain_a", CHAIN_A),
+                MVSpec(
+                    "chain_b",
+                    "SELECT ss_item_sk, SUM(ss_net_paid) AS paid "
+                    "FROM chain_a GROUP BY ss_item_sk",
+                    ("chain_a",),
+                ),
+                MVSpec("chain_c", c_sql, ("chain_b",)),
+            ),
+            ("store_sales",),
+        )
+        at_c: dict[str, bool] = {}
+
+        def on_sql(text):
+            if text == c_sql:
+                at_c.update(
+                    (v, spark_cached(spark, v)) for v in ("chain_a", "chain_b")
+                )
+
+        rep = run_workload(
+            SparkSpy(spark, on_sql), wl, Plan((0, 1, 2), frozenset({0, 1})),
+            {n: 1.0 for n in wl.node_names}, 2.0, str(tmp_path), tpcds_base,
+        )
+        assert at_c == {"chain_a": False, "chain_b": True}
+        timing = {t.name: t for t in rep.nodes}
+        assert timing["chain_b"].mem_parents == 1
+        assert timing["chain_c"].mem_parents == 1
+        got = spark.read.parquet(str(tmp_path / "chain_c")).collect()
+        want = spark.sql(
+            "SELECT COUNT(DISTINCT ss_item_sk) AS n, SUM(ss_net_paid) AS paid "
+            f"FROM ({CHAIN_A})"
+        ).collect()
+        assert got[0]["n"] == want[0]["n"]
+        assert got[0]["paid"] == pytest.approx(want[0]["paid"])
+
+
+class TestFailureCleanup:
+    def test_failed_node_leaves_nothing_cached(
+        self, spark, tpcds_base, tmp_path
+    ):
+        """A node whose SQL fails while its cache fills: the error
+        propagates, the in-flight background write of its flagged parent
+        completes, and no frame of the run stays in Spark's cache."""
+        finished: list[float] = []
+
+        class SlowWrites(StorageModel):
+            def pay_write(self, nbytes):
+                super().pay_write(nbytes)
+                finished.append(nbytes)
+
+        b_sql = "SELECT raise_error('injected failure') AS x FROM fail_a"
+        wl = WorkloadSpec(
+            "failing",
+            (
+                MVSpec("fail_a", CHAIN_A),
+                MVSpec("fail_b", b_sql, ("fail_a",)),
+            ),
+            ("store_sales",),
+        )
+        before = rdd_storage_ids(spark)
+        with pytest.raises(Exception, match="injected failure"):
+            run_workload(
+                spark, wl, Plan((0, 1), frozenset({0, 1})),
+                {"fail_a": 1e5, "fail_b": 1.0}, 2e5, str(tmp_path),
+                tpcds_base, storage=SlowWrites(read_bw=1e9, write_bw=1e5),
+            )
+        assert finished == [1e5]  # fail_a's 1 s transfer was waited out
+        assert rdd_storage_ids(spark) == before
+        assert not spark_cached(spark, "fail_a")
+        assert spark.sql(b_sql).storageLevel == StorageLevel.NONE
